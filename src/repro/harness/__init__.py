@@ -50,8 +50,6 @@ from repro.harness.optimizer import (
     OptimizerRow,
     objective_by_name,
     run_optimizer,
-    run_scenario1_adaptive,
-    run_scenario2_adaptive,
 )
 from repro.harness.percore import (
     PerCoreDVFSResult,
@@ -119,8 +117,6 @@ __all__ = [
     "OptimizerRow",
     "objective_by_name",
     "run_optimizer",
-    "run_scenario1_adaptive",
-    "run_scenario2_adaptive",
     "PerCoreDVFSResult",
     "plan_core_frequencies",
     "run_percore_dvfs",

@@ -138,6 +138,21 @@ class ExperimentContext:
         """
         return compile_workload(self.scaled_model(model), n_threads)
 
+    def operating_point(
+        self,
+        frequency_hz: Optional[float] = None,
+        voltage: Optional[float] = None,
+    ) -> Tuple[float, float]:
+        """The (frequency, voltage) :meth:`run` simulates for a request.
+
+        Frequency defaults to nominal and is clamped into the legal
+        scaling range; voltage defaults to the V/f table's entry for the
+        clamped frequency.
+        """
+        f_hz = self.clamp_frequency(frequency_hz or self.f_nominal)
+        v = voltage if voltage is not None else self.vf_table.voltage_for_frequency(f_hz)
+        return f_hz, v
+
     def run(
         self,
         model: WorkloadModel,
@@ -150,9 +165,19 @@ class ExperimentContext:
         Frequency defaults to nominal; voltage defaults to the V/f table's
         entry for the chosen frequency.
         """
-        f_hz = self.clamp_frequency(frequency_hz or self.f_nominal)
-        v = voltage if voltage is not None else self.vf_table.voltage_for_frequency(f_hz)
-        config = self.cmp_config.with_operating_point(f_hz, v)
+        f_hz, v = self.operating_point(frequency_hz, voltage)
+        return self._simulate(
+            model, n_threads, self.cmp_config.with_operating_point(f_hz, v)
+        )
+
+    def _simulate(
+        self, model: WorkloadModel, n_threads: int, config: CMPConfig
+    ) -> Tuple[SimulationResult, ChipPowerResult]:
+        """Compile, simulate, record and power-evaluate one configuration.
+
+        ``config`` is used as given — no clamp — so callers that probe
+        outside the V/f table (the overclocking study) share this body.
+        """
         scaled = self.scaled_model(model)
         compiled = compile_workload(scaled, n_threads)
         chip = ChipMultiprocessor(

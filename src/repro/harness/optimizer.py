@@ -2,12 +2,11 @@
 
 The paper's deliverable is an *optimization* — pick the (N, V/f)
 configuration that minimizes power at iso-performance (Scenario I) or
-maximizes speedup under a power budget (Scenario II) — yet the
-experimental pipelines answer it by exhaustively simulating the full
-200 MHz profiling ladder.  The power/performance surfaces those sweeps
-trace are smooth and monotone (power rises with frequency, time falls),
-so a successive-refinement search finds the same optimum with a
-fraction of the simulations.
+maximizes speedup under a power budget (Scenario II) — over the
+200 MHz profiling ladder.  The power/performance surfaces on that
+ladder are smooth and monotone (power rises with frequency, time
+falls), so a successive-refinement search finds the same optimum as an
+exhaustive sweep with a fraction of the simulations.
 
 The engine in this module searches each (application, N) pair's
 frequency ladder coarse-to-fine:
@@ -27,8 +26,10 @@ Evaluations go through :func:`~repro.harness.profiling.simulate_point`
 under the standard ``simpoint`` cache key, so optimizer probes share
 the result cache with the scenario sweeps: a warm cache makes
 refinement incremental across campaigns and ``--resume`` runs, and the
-chosen row is bitwise-identical to the corresponding exhaustive or
-scenario-pipeline measurement.
+chosen row is bitwise-identical to the corresponding exhaustive
+measurement.  Scenario II's Figure 4 pipeline
+(:func:`~repro.harness.scenario2.run_scenario2`) is a thin layer over
+this engine.
 
 For budget-style objectives the final bracket also yields the paper's
 "linearly scaling between the two" profiled points: the budget boundary
@@ -75,8 +76,8 @@ def frequency_ladder(
 ) -> List[float]:
     """The profiling ladder: ``step_hz`` steps from the floor to nominal.
 
-    Identical to the Scenario II grid, so optimizer probes land on the
-    exact frequencies the exhaustive pipelines simulate.
+    The only profiling ladder in the repository: Scenario II's budget
+    search and every optimizer campaign probe these frequencies.
     """
     points: List[float] = []
     f = context.f_min
@@ -693,43 +694,4 @@ def _row_from_state(
         budget_w=budget,
         evaluations=state.evaluations,
         grid_points=search.num_points,
-    )
-
-
-def run_scenario1_adaptive(
-    context: ExperimentContext,
-    models: Sequence[WorkloadModel],
-    core_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    executor: Optional[SweepExecutor] = None,
-) -> OptimizerCampaign:
-    """Scenario I through the optimizer: min power at iso-performance."""
-    return run_optimizer(
-        context,
-        models,
-        MinPowerAtIsoPerformance(),
-        core_counts=core_counts,
-        executor=executor,
-    )
-
-
-def run_scenario2_adaptive(
-    context: ExperimentContext,
-    models: Sequence[WorkloadModel],
-    core_counts: Sequence[int] = tuple(range(1, 17)),
-    budget_w: Optional[float] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> OptimizerCampaign:
-    """Scenario II through the optimizer: max speedup under the budget.
-
-    The chosen (N, frequency) points match :func:`run_scenario2`'s grid
-    picks bitwise — the search changes how many points are simulated,
-    never which point wins.
-    """
-    return run_optimizer(
-        context,
-        models,
-        MaxSpeedupUnderBudget(),
-        core_counts=core_counts,
-        budget_w=budget_w,
-        executor=executor,
     )

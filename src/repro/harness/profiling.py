@@ -232,8 +232,21 @@ def simulate_point(context: ExperimentContext, task: SimPointTask) -> SimPointRo
 
 
 def sim_point_key(context: ExperimentContext, task: SimPointTask) -> dict:
-    """The cache-key config of one :func:`simulate_point` evaluation."""
-    return {"kind": "simpoint", "context": context.fingerprint(), "task": task}
+    """The cache-key config of one :func:`simulate_point` evaluation.
+
+    Keyed on the resolved operating point rather than the raw request,
+    so a nominal-default request and an explicit request for the same
+    (frequency, voltage) share one cache entry.
+    """
+    f_hz, v = context.operating_point(task.frequency_hz, task.voltage)
+    return {
+        "kind": "simpoint",
+        "context": context.fingerprint(),
+        "spec": task.spec,
+        "n": task.n,
+        "frequency_hz": f_hz,
+        "voltage": v,
+    }
 
 
 def precompile_hook(context: ExperimentContext):

@@ -4,30 +4,21 @@ The budget is the maximum nominal power of a single core, derived by
 microbenchmarking (Section 3.3's calibration).  For each (application, N)
 the pipeline:
 
-1. profiles power on the paper's frequency ladder (200 MHz .. 3.0 GHz
-   in 200 MHz steps plus nominal), probing the grid with a binary
-   search so only O(log) points simulate;
-2. picks the highest grid frequency whose measured power fits the
-   budget, with the voltage from the V/f table — the chosen point is
-   always *on* the grid here; the paper's "linearly scaling between the
-   two" bracketing profiled points is implemented by the adaptive
-   optimizer (:mod:`repro.harness.optimizer`), which reports the
-   interpolated budget boundary as ``f_interpolated_hz`` metadata
-   alongside the same grid pick;
-3. re-simulates at the chosen point — the "real speedup" run — and
-   reports actual versus nominal speedup (Figure 4).
+1. profiles every application at nominal V/f (one executor fan-out),
+   which supplies the nominal speedups;
+2. searches the paper's frequency ladder (200 MHz .. nominal in
+   200 MHz steps) for the highest frequency whose measured power fits
+   the budget, with the voltage from the V/f table.  The search is the
+   optimizer's (:func:`~repro.harness.optimizer.run_optimizer` under
+   :class:`~repro.harness.optimizer.MaxSpeedupUnderBudget`): every probe
+   is a cached, journalled executor point, and the chosen probe's own
+   measurement is the "real speedup" run, so nothing re-simulates;
+3. reports actual versus nominal speedup (Figure 4).
 
 Memory-bound applications benefit twice, as the paper observes: their
 nominal power is far below the budget (no throttling needed until high
 N), and when throttling does kick in, the fixed-latency memory narrows
 the processor-memory gap.
-
-The campaign runs through a
-:class:`~repro.harness.executor.SweepExecutor` in two fan-outs: the
-nominal profiles of all applications, then one chunky task per
-(application, N) that performs the whole budget search plus the final
-re-simulation inside the worker.  Each task's outcome is memoized, so a
-warm re-run simulates nothing.
 """
 
 from __future__ import annotations
@@ -35,10 +26,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
+from repro.harness.optimizer import (
+    MaxSpeedupUnderBudget,
+    OptimizerRow,
+    run_optimizer,
+)
 from repro.harness.profiling import (
     SimPointTask,
     precompile_hook,
@@ -46,7 +42,7 @@ from repro.harness.profiling import (
     sim_point_key,
     simulate_point,
 )
-from repro.workloads.base import WorkloadModel, WorkloadSpec
+from repro.workloads.base import WorkloadModel
 
 
 @dataclass(frozen=True)
@@ -72,35 +68,6 @@ class Scenario2Row:
         return self.frequency_hz >= self.f_nominal_hz - 1e6
 
 
-@dataclass(frozen=True)
-class Scenario2Task:
-    """One (application, N) budget search plus its final re-simulation."""
-
-    spec: WorkloadSpec
-    n: int
-    budget_w: float
-    t1_ps: int
-    nominal_speedup: float
-
-
-def _scenario2_point(context: ExperimentContext, task: Scenario2Task) -> Scenario2Row:
-    """Worker: find the best budget-legal frequency, then measure there."""
-    model = WorkloadModel(task.spec)
-    frequency = _best_frequency_under_budget(context, model, task.n, task.budget_w)
-    result, power = context.run(model, task.n, frequency)
-    return Scenario2Row(
-        app=task.spec.name,
-        n=task.n,
-        nominal_speedup=task.nominal_speedup,
-        actual_speedup=task.t1_ps / result.execution_time_ps,
-        frequency_hz=frequency,
-        voltage=context.vf_table.voltage_for_frequency(frequency),
-        power_w=power.total_w,
-        budget_w=task.budget_w,
-        f_nominal_hz=context.f_nominal,
-    )
-
-
 def run_scenario2(
     context: ExperimentContext,
     models: Sequence[WorkloadModel],
@@ -110,7 +77,7 @@ def run_scenario2(
 ) -> Dict[str, List[Scenario2Row]]:
     """The Figure 4 experiment for a set of applications.
 
-    Points that fail with a library error are recorded by the executor
+    Returns each application's rows in ascending N.  Points that fail with a library error are recorded by the executor
     as typed failures and omitted from the rows; the campaign carries
     on.  Under a retrying executor the same applies to quarantined
     profile points: an application whose 1-core nominal baseline is
@@ -125,10 +92,8 @@ def run_scenario2(
 
     # Stage 1: nominal profiles for every application, one flat fan-out.
     profile_tasks: List[SimPointTask] = []
-    supported: Dict[str, List[int]] = {}
     for model in models:
         counts = model.supported_thread_counts(core_counts)
-        supported[model.name] = counts
         profile_tasks.extend(
             SimPointTask(spec=model.spec, n=n) for n in sorted({1, *counts})
         )
@@ -143,43 +108,66 @@ def run_scenario2(
         if outcome.ok:
             times[task.spec.name][task.n] = outcome.value.execution_time_ps
 
-    # Stage 2: one chunky budget-search task per (application, N).
-    tasks: List[Scenario2Task] = []
+    # Stage 2: the budget search, every probe an executor point.
+    chosen = _best_frequency_under_budget(
+        context, models, times, core_counts, budget, executor
+    )
+    results: Dict[str, List[Scenario2Row]] = {m.name: [] for m in models}
+    for (app, n), row in chosen.items():
+        app_times = times[app]
+        if n not in app_times:
+            continue
+        t1 = app_times[1]
+        results[app].append(
+            Scenario2Row(
+                app=app,
+                n=n,
+                nominal_speedup=t1 / app_times[n],
+                actual_speedup=t1 / row.execution_time_ps,
+                frequency_hz=row.frequency_hz,
+                voltage=row.voltage,
+                power_w=row.total_power_w,
+                budget_w=budget,
+                f_nominal_hz=context.f_nominal,
+            )
+        )
+    return results
+
+
+def _best_frequency_under_budget(
+    context: ExperimentContext,
+    models: Sequence[WorkloadModel],
+    times: Dict[str, Dict[int, int]],
+    core_counts: Sequence[int],
+    budget_w: float,
+    executor: SweepExecutor,
+) -> Dict[Tuple[str, int], OptimizerRow]:
+    """Highest ladder frequency whose measured power fits the budget.
+
+    Applications whose 1-core nominal profile is missing cannot be
+    normalised and are skipped with a ``[quarantine]`` notice; the rest
+    go through one optimizer campaign.  Returns the chosen rows keyed
+    by (application, N), in the campaign's (application, N) order.
+    """
+    searchable = []
     for model in models:
-        app_times = times[model.name]
-        if 1 not in app_times:
+        if 1 in times[model.name]:
+            searchable.append(model)
+        else:
             print(
                 f"[quarantine] {model.name}: the 1-core nominal profile "
                 "failed; skipping the application",
                 file=sys.stderr,
             )
-            continue
-        t1 = app_times[1]
-        tasks.extend(
-            Scenario2Task(
-                spec=model.spec,
-                n=n,
-                budget_w=budget,
-                t1_ps=t1,
-                nominal_speedup=t1 / app_times[n],
-            )
-            for n in supported[model.name]
-            if n in app_times
-        )
-    outcomes = executor.map(
-        partial(_scenario2_point, context),
-        tasks,
-        key_configs=[
-            {"kind": "scenario2", "context": context.fingerprint(), "task": task}
-            for task in tasks
-        ],
-        precompile=precompile_hook(context),
+    campaign = run_optimizer(
+        context,
+        searchable,
+        MaxSpeedupUnderBudget(),
+        core_counts=core_counts,
+        budget_w=budget_w,
+        executor=executor,
     )
-    results: Dict[str, List[Scenario2Row]] = {m.name: [] for m in models}
-    for task, outcome in zip(tasks, outcomes):
-        if outcome.ok:
-            results[task.spec.name].append(outcome.value)
-    return results
+    return {(row.app, row.n): row for row in campaign.rows}
 
 
 @dataclass(frozen=True)
@@ -295,69 +283,4 @@ def _run_boosted(
 ):
     """Run above the nominal bin (bypasses the context's clamp)."""
     config = context.cmp_config.with_operating_point(f_hz, voltage)
-    scaled = model
-    if context.workload_scale != 1.0:
-        scaled = WorkloadModel(model.spec.scaled(context.workload_scale))
-    from repro.sim.cmp import ChipMultiprocessor
-    from repro.sim.ops import compile_workload
-
-    compiled = compile_workload(scaled, n_threads)
-    chip = ChipMultiprocessor(
-        config, fast_path=context.fast_path, profile=context.profile
-    )
-    result = chip.run(
-        compiled.program,
-        scaled.core_timing(),
-        warmup_barriers=scaled.warmup_barriers,
-    )
-    if result.kernel is not None:
-        result.kernel.compile_s = compiled.seconds
-        result.kernel.compile_cache_hit = compiled.from_cache
-        context.kernel_log.add(result.kernel)
-    return result, context.chip_power.evaluate(result)
-
-
-def _grid(context: ExperimentContext) -> List[float]:
-    """The paper's profiling ladder: 200 MHz steps up to nominal."""
-    step = 200e6
-    points = []
-    f = context.f_min
-    while f < context.f_nominal - 1e6:
-        points.append(f)
-        f += step
-    points.append(context.f_nominal)
-    return points
-
-
-def _best_frequency_under_budget(
-    context: ExperimentContext,
-    model: WorkloadModel,
-    n: int,
-    budget_w: float,
-) -> float:
-    """Highest ladder frequency whose measured power fits the budget.
-
-    Power is monotone in frequency for a fixed workload, so a binary
-    search over the ladder needs only O(log) profiling simulations
-    instead of the paper's full sweep.
-    """
-    grid = _grid(context)
-
-    def power_at(f_hz: float) -> float:
-        _result, power = context.run(model, n, f_hz)
-        return power.total_w
-
-    if power_at(grid[-1]) <= budget_w:
-        return grid[-1]
-    if power_at(grid[0]) > budget_w:
-        # Even the floor frequency exceeds the budget; the floor is the
-        # best the chip can do (the paper's range stops at 200 MHz).
-        return grid[0]
-    lo, hi = 0, len(grid) - 1  # power_at(lo) <= budget < power_at(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if power_at(grid[mid]) <= budget_w:
-            lo = mid
-        else:
-            hi = mid
-    return grid[lo]
+    return context._simulate(model, n_threads, config)

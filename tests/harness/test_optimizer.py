@@ -1,6 +1,6 @@
 """Tests for the adaptive design-space optimizer.
 
-Three layers:
+Four layers:
 
 * **search-engine properties** (hypothesis) — for every monotone
   feasibility curve and every strictly unimodal metric curve, the
@@ -10,9 +10,11 @@ Three layers:
   campaign returns bitwise the same optimum as ``exhaustive=True`` for
   every SPLASH-2 application under both boundary objectives, with
   materially fewer grid evaluations;
+* **Scenario II on the engine** — ``run_scenario2`` rows equal the
+  exhaustive ladder's picks, and every simulation is an executor point;
 * **bugfix regressions** — the nominal-frequency field migration, the
-  duplicated overclocking baseline run, and the quarantined scenario-2
-  profile point.
+  duplicated overclocking baseline run, the quarantined scenario-2
+  profile point, and the canonical ``simpoint`` cache key.
 """
 
 import json
@@ -32,7 +34,7 @@ from repro.harness import (
     run_scenario2,
     save_results,
 )
-from repro.harness.executor import RetryPolicy
+from repro.harness.executor import RetryPolicy, config_key
 from repro.harness.faults import ALWAYS, FaultPlan, FaultSpec
 from repro.harness.optimizer import (
     DEFAULT_STEP_HZ,
@@ -45,6 +47,7 @@ from repro.harness.optimizer import (
     objective_by_name,
     pick_boundary,
 )
+from repro.harness.profiling import SimPointTask, sim_point_key
 from repro.harness.scenario2 import run_overclocking_study
 from repro.harness.schema import SCHEMA_VERSION
 from repro.workloads import SPLASH2, workload_by_name
@@ -265,24 +268,59 @@ def test_warm_cache_repeats_without_simulating(context, shared_executor):
     assert second.cache_hits == second.evaluations
 
 
-def test_adaptive_agrees_with_the_scenario2_pipeline(context, shared_executor):
-    models = [workload_by_name("FMM")]
+def test_scenario2_rows_match_the_exhaustive_ladder(context, shared_executor):
+    """Figure 4 rows equal the exhaustive ladder's picks.
+
+    The exhaustive campaign evaluates every ladder point and applies
+    :func:`pick_boundary` — it shares no search code with the refined
+    search ``run_scenario2`` runs on, so it is the oracle.  Scenario II
+    runs on its own uncached executor, so its rows are fresh
+    simulations rather than replays of the oracle's.
+    """
+    models = [workload_by_name("FMM"), workload_by_name("Radix")]
     fig4 = run_scenario2(
-        context, models, core_counts=CORE_COUNTS, executor=shared_executor
-    )["FMM"]
-    campaign = run_optimizer(
+        context, models, core_counts=CORE_COUNTS, executor=SweepExecutor()
+    )
+    oracle = run_optimizer(
         context,
         models,
         "speedup-budget",
         core_counts=CORE_COUNTS,
         executor=shared_executor,
+        exhaustive=True,
     )
-    assert len(campaign.rows) == len(fig4)
-    for opt, row in zip(campaign.rows, sorted(fig4, key=lambda r: r.n)):
-        assert opt.n == row.n
-        assert opt.frequency_hz == row.frequency_hz
-        assert opt.voltage == row.voltage
-        assert opt.speedup == row.actual_speedup
+    picks = {(r.app, r.n): r for r in oracle.rows}
+    rows = [row for app_rows in fig4.values() for row in app_rows]
+    assert sorted((r.app, r.n) for r in rows) == sorted(picks)
+    assert any(not r.runs_at_nominal for r in rows)
+    for row in rows:
+        pick = picks[(row.app, row.n)]
+        assert row.frequency_hz == pick.frequency_hz
+        assert row.voltage == pick.voltage
+        assert row.power_w == pick.total_power_w
+        assert row.actual_speedup == pick.speedup
+
+
+def test_scenario2_runs_every_simulation_through_the_executor(tmp_path):
+    """No simulation hides inside a point: kernel runs == evaluations.
+
+    The budget search's nominal probes share cache entries with the
+    stage-1 nominal profiles (canonical ``simpoint`` keys), so a cold
+    campaign already hits once per (app, N) search plus once per
+    1-core baseline.
+    """
+    context = ExperimentContext(workload_scale=0.03)
+    executor = SweepExecutor(cache=ResultCache(tmp_path))
+    results = run_scenario2(
+        context,
+        [workload_by_name("FMM"), workload_by_name("Radix")],
+        core_counts=(1, 4, 16),
+        executor=executor,
+    )
+    searches = sum(len(rows) for rows in results.values())
+    assert searches == 6
+    assert context.kernel_log.runs == executor.stats.evaluated
+    assert executor.stats.cache_hits == searches + len(results)
 
 
 def test_campaign_accounting_is_consistent(context, shared_executor):
@@ -429,3 +467,20 @@ def test_scenario2_skips_an_app_whose_baseline_is_quarantined(capsys):
 
     rows = failed_point_rows(executor.failed)
     assert rows and rows[0].retryable
+
+
+def test_simpoint_key_is_the_resolved_operating_point(context):
+    """A nominal-default request and its explicit twin share one key."""
+    spec = workload_by_name("FMM").spec
+    nominal = sim_point_key(context, SimPointTask(spec=spec, n=4))
+    explicit = sim_point_key(
+        context, SimPointTask(spec=spec, n=4, frequency_hz=context.f_nominal)
+    )
+    assert config_key(nominal) == config_key(explicit)
+    ladder = frequency_ladder(context)
+    low, high = (
+        sim_point_key(context, SimPointTask(spec=spec, n=4, frequency_hz=f))
+        for f in (ladder[0], ladder[1])
+    )
+    assert config_key(low) != config_key(high)
+

@@ -65,3 +65,32 @@ class TestStudy:
             context, workload_by_name("Radix"), 2, budget_w=30.0
         )
         assert tight.overclock_frequency_hz <= loose.overclock_frequency_hz
+
+
+def test_boosted_run_reaches_the_capture_buffer(context, monkeypatch):
+    """Overclocked runs share ``ExperimentContext``'s simulate body.
+
+    Their kernel stats land in the context's aggregate and in the
+    executor's capture buffer, stamped with the compile's eviction flag.
+    """
+    import dataclasses
+
+    from repro.harness import context as context_module
+    from repro.harness.scenario2 import _run_boosted
+    from repro.telemetry.record import begin_point_capture, end_point_capture
+
+    compile_workload = context_module.compile_workload
+    monkeypatch.setattr(
+        context_module,
+        "compile_workload",
+        lambda *args: dataclasses.replace(compile_workload(*args), evicted=True),
+    )
+    runs = context.kernel_log.runs
+    begin_point_capture()
+    try:
+        _run_boosted(context, workload_by_name("Radix"), 2, 3.4e9, 1.2)
+    finally:
+        records = end_point_capture()
+    assert len(records) == 1
+    assert records[0].compile_cache_evicted
+    assert context.kernel_log.runs == runs + 1
