@@ -52,15 +52,13 @@ def overlap_probe() -> None:
     """Show the fan-out overlaps waiting even when cores do not multiply.
 
     Sixteen 100 ms latency-bound points take ~1.6 s serially; with
-    ``jobs=4`` the pool overlaps the waits, so the wall-clock gain here
+    ``jobs=4`` the farm overlaps the waits, so the wall-clock gain here
     is pure executor machinery, independent of how many cores the CPU
     governor grants this container.
     """
     points = [0.1] * 16
     serial, t1 = timed(lambda: SweepExecutor(jobs=1).map(sleepy_point, points))
-    parallel, t4 = timed(
-        lambda: SweepExecutor(jobs=4, chunksize=1).map(sleepy_point, points)
-    )
+    parallel, t4 = timed(lambda: SweepExecutor(jobs=4).map(sleepy_point, points))
     assert [o.value for o in serial] == [o.value for o in parallel]
     print(
         "overlap probe (16 x 100 ms latency-bound points): "

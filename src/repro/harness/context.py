@@ -132,8 +132,9 @@ class ExperimentContext:
         """Warm the process-wide compile cache for one (model, N) pair.
 
         The executor calls this in the coordinator before dispatching a
-        sweep, so forked workers inherit (and pool initializers receive)
-        already-compiled streams instead of recompiling per process.
+        sweep, so forked workers inherit (and spawned workers receive at
+        start-up) already-compiled streams instead of recompiling per
+        process.
         Returns the :class:`repro.sim.ops.CompileOutcome`.
         """
         return compile_workload(self.scaled_model(model), n_threads)

@@ -3,11 +3,11 @@
 Every figure in the paper is a sweep — over core count, nominal
 efficiency, technology node, or workload — and every point in such a
 sweep is independent of the others.  :class:`SweepExecutor` exploits
-that: it fans point evaluations out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (the simulator is pure
-Python, so processes, not threads, are what buys wall-clock time) and
-memoizes completed points in a content-addressed on-disk cache so that
-re-running a campaign only evaluates points whose configuration changed.
+that: it fans point evaluations out over a farm of long-lived worker
+processes (the simulator is pure Python, so processes, not threads, are
+what buys wall-clock time) and memoizes completed points in a
+content-addressed on-disk cache so that re-running a campaign only
+evaluates points whose configuration changed.
 
 Three guarantees the experiment pipelines rely on:
 
@@ -33,15 +33,16 @@ schema-tagged layout as :mod:`repro.harness.store` uses for whole
 campaigns; values must be flat (possibly nested) dataclasses of
 JSON-representable leaves, which all the harness row types are.
 
-On top of that sits the **fault-tolerance layer** (engaged only when a
-:class:`RetryPolicy` with retries/deadline or a
-:class:`~repro.harness.faults.FaultPlan` is configured): transient
-failures — worker crashes, per-point deadline kills, injected faults,
-exceptions escaping the library — are retried with deterministic
-exponential backoff and finally *quarantined* as typed ``retryable``
-failures, so a sweep completes with partial results instead of
-aborting.  Retryable failures are never memoized; paired with the
-:class:`~repro.harness.journal.SweepJournal` write-ahead log this gives
+Points run in one of two lanes: inline in the coordinator, or in the
+process farm.  On top of both sits the **fault-tolerance layer** — a
+policy, not a lane, engaged when a :class:`RetryPolicy` with
+retries/deadline or a :class:`~repro.harness.faults.FaultPlan` is
+configured: transient failures — worker crashes, per-point deadline
+kills, injected faults, exceptions escaping the library — are retried
+with deterministic exponential backoff and finally *quarantined* as
+typed ``retryable`` failures, so a sweep completes with partial results
+instead of aborting.  Retryable failures are never memoized; paired with
+the :class:`~repro.harness.journal.SweepJournal` write-ahead log this gives
 ``--resume``: a re-run replays finished points from the cache bitwise
 and re-attempts only the unfinished or crashed ones.
 """
@@ -55,8 +56,8 @@ import json
 import multiprocessing
 import os
 import time
+import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
@@ -239,19 +240,19 @@ class SweepFailure:
 class RetryPolicy:
     """How hard the executor fights for each sweep point.
 
-    The default policy — zero retries, no deadline — reproduces the
-    historical all-or-nothing semantics exactly.  With ``max_retries``
-    set, a point whose failure is *transient* (worker crash, deadline
-    kill, injected fault, or any exception that escapes the library) is
-    re-attempted up to ``max_retries`` times with exponential backoff;
-    a point still failing after its last attempt is *quarantined*: its
-    typed failure is recorded, the sweep completes with partial
-    results.  Deterministic library failures (e.g. an infeasible
+    The default policy — zero retries, no deadline — makes one attempt
+    per point and lets a non-library exception stop the campaign.  With
+    ``max_retries`` set, a point whose failure is *transient* (worker
+    crash, deadline kill, injected fault, or any exception that escapes
+    the library) is re-attempted up to ``max_retries`` times with
+    exponential backoff; a point still failing after its last attempt
+    is *quarantined*: its typed failure is recorded, the sweep
+    completes with partial results.  Deterministic library failures (e.g. an infeasible
     operating point) are never retried — the physics will not change.
 
     ``point_timeout_s`` puts a wall-clock deadline on every attempt;
     enforcing it requires worker processes, so the executor runs its
-    process lane (even at ``jobs=1``) whenever a deadline is set.
+    process farm (even at ``jobs=1``) whenever a deadline is set.
     """
 
     max_retries: int = 0
@@ -297,8 +298,8 @@ class PointOutcome:
     #: is the *original* evaluation's telemetry, replayed from the cache.
     telemetry: Optional[PointTelemetry] = None
     #: Which executor lane produced this outcome: ``inline`` (evaluated
-    #: in the coordinator), ``pool`` (long-lived worker pool), ``farm``
-    #: (fault-tolerant process-per-attempt), or ``cache`` (replayed).
+    #: in the coordinator), ``farm`` (a long-lived worker process), or
+    #: ``cache`` (replayed).
     lane: str = "inline"
 
     @property
@@ -514,12 +515,12 @@ class _PointCall:
     channel that makes worker- and cache-side profiling visible to the
     coordinator.
 
-    The resilient lanes construct it with a fault plan (injected at the
-    top of every attempt, inside the capture window) and with
-    ``capture_bugs=True`` so escaped non-library exceptions come back
-    as retryable ``("raised", ...)`` statuses instead of killing the
-    campaign; the default lanes keep the historical propagate-on-bug
-    semantics.
+    The executor constructs it with its fault plan (injected at the
+    top of every attempt, inside the capture window); under a retry
+    policy also with ``capture_bugs=True``, so escaped non-library
+    exceptions come back as retryable ``("raised", ...)`` statuses
+    instead of killing the campaign.  Under the default policy they
+    propagate.
     """
 
     fn: Callable[[Any], Any]
@@ -563,7 +564,7 @@ class _PointCall:
 
 
 def _seed_stream_cache(entries: List[tuple]) -> None:
-    """Worker initializer: seed the process-wide compile cache.
+    """Worker start-up: seed the process-wide compile cache.
 
     On fork platforms workers inherit the coordinator's warm
     :data:`repro.sim.ops.stream_cache` for free; on spawn platforms the
@@ -571,34 +572,47 @@ def _seed_stream_cache(entries: List[tuple]) -> None:
     parallel sweeps never recompile per worker either way.
     """
     for key, program in entries:
-        # repro: allow[FORK-GLOBAL-WRITE] initializer seeds this worker's own cache
+        # repro: allow[FORK-GLOBAL-WRITE] start-up seeds this worker's own cache
         stream_cache.seed(key, program)
 
 
-def _farm_worker(
-    conn,
-    call: _PointCall,
-    point: Any,
-    index: int,
-    attempt: int,
-    seeds: Optional[List[tuple]] = None,
-) -> None:
-    """Child-process entry of the fault-tolerant farm: one attempt.
+class _RemoteTraceback(Exception):
+    """A worker's traceback, chained under the exception it explains."""
 
-    Sends the :class:`_PointCall` status tuple back over the pipe; a
-    worker that dies before sending (a ``kill`` fault, the OOM killer)
-    is detected by the coordinator as an EOF plus a nonzero exit code.
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _farm_worker(conn, call: _PointCall, seeds: Optional[List[tuple]] = None) -> None:
+    """Child-process entry of the farm: a long-lived attempt loop.
+
+    Answers each ``(index, attempt, point)`` task received over the
+    duplex pipe with the :class:`_PointCall` status tuple, and stops on
+    ``None`` (or once the coordinator's end is closed).  An exception
+    escaping ``call`` is a retryable ``"raised"`` status under a retry
+    policy; under the default policy it is a bug, shipped home as
+    ``("bug", exc, traceback)`` for the coordinator to re-raise.
+    A worker that dies mid-point (a ``kill`` fault, the OOM killer) is
+    detected by the coordinator as an EOF plus a nonzero exit code.
     """
-    try:
-        if seeds:
-            _seed_stream_cache(seeds)
-        payload = call(point, index, attempt)
-    except BaseException as exc:  # pragma: no cover - _PointCall captures
-        payload = ("raised", type(exc).__name__, str(exc), None)
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
+    if seeds:
+        _seed_stream_cache(seeds)
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            break
+        if task is None:
+            break
+        index, attempt, point = task
+        try:
+            conn.send(call(point, index, attempt))
+        except BaseException as exc:  # a bug, or a value that won't pickle
+            if call.capture_bugs:
+                conn.send(("raised", type(exc).__name__, str(exc), None))
+            else:
+                conn.send(("bug", exc, traceback.format_exc()))
+    conn.close()
 
 
 def _kill_process(process) -> None:
@@ -620,33 +634,29 @@ class SweepExecutor:
     ----------
     jobs:
         Worker processes.  ``1`` (the default) evaluates inline in the
-        calling process — no pool, no pickling — which is also the
+        calling process — no workers, no pickling — which is also the
         reference semantics the parallel path must match bitwise.
     cache:
         Optional :class:`ResultCache`.  Points are only memoized when the
         caller also supplies ``key_configs`` (it alone knows which inputs
         determine a point's value).
-    chunksize:
-        Points per pickled work batch; defaults to roughly four batches
-        per worker.
+    retry:
+        The :class:`RetryPolicy`; the default makes one attempt per
+        point and lets a non-library exception stop the campaign.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        chunksize: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         journal: Optional[SweepJournal] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1")
         self.jobs = jobs
         self.cache = cache
-        self.chunksize = chunksize
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
         #: Optional :class:`~repro.harness.journal.SweepJournal`; when
@@ -663,17 +673,14 @@ class SweepExecutor:
         #: Per-point telemetry awaiting :meth:`fold_telemetry_into`
         #: (``(telemetry, cached)`` pairs, accumulated across ``map`` calls).
         self._telemetry_log: List[Tuple[PointTelemetry, bool]] = []
-        #: Which lane the most recent evaluation batch ran in; stamped
-        #: onto the batch's outcomes for trace attribution.
-        self._last_lane = "inline"
 
     @property
     def resilient(self) -> bool:
-        """Whether the fault-tolerant machinery is engaged.
+        """Whether escaped non-library exceptions are retryable failures.
 
         True when any of a retry budget, a per-point deadline, or a
-        fault plan is configured; the default executor keeps the
-        historical lanes (and semantics) exactly.
+        fault plan is configured; under the default policy such an
+        exception is a bug and stops the campaign.
         """
         return (
             self.fault_plan is not None
@@ -690,17 +697,19 @@ class SweepExecutor:
     ) -> List[PointOutcome]:
         """Evaluate ``fn`` over ``points``; outcomes in input order.
 
-        ``fn`` must be picklable for ``jobs > 1`` (a module-level
-        function or a :func:`functools.partial` of one).  ``key_configs``
+        Under ``jobs > 1`` points and results cross a pipe, so they must
+        be picklable; ``fn`` reaches forked workers by inheritance (on
+        spawn platforms it must be a module-level function or a
+        :func:`functools.partial` of one).  ``key_configs``
         — one hashable config per point — opts the call into the cache.
 
         ``precompile``, when given, is called in the coordinator with
         exactly the points the cache could not satisfy, *before* any
         worker dispatch.  Sweep pipelines use it to compile op streams
         once into the process-wide :data:`repro.sim.ops.stream_cache`
-        so forked workers inherit them warm (spawn-platform pools are
-        seeded through an initializer instead); a fully warm-cache
-        rerun pays zero compiles.
+        so forked workers inherit them warm (spawn-platform workers are
+        seeded at start-up instead); a fully warm-cache rerun pays zero
+        compiles.
         """
         point_list = list(points)
         keys: List[Optional[str]] = [None] * len(point_list)
@@ -744,14 +753,13 @@ class SweepExecutor:
         if pending:
             if precompile is not None:
                 precompile([point_list[i] for i in pending])
-            if self.resilient:
-                raw = self._run_resilient(fn, pending, point_list)
+            call = _PointCall(
+                fn, fault_plan=self.fault_plan, capture_bugs=self.resilient
+            )
+            if self._needs_processes(len(pending), len(point_list)):
+                lane, raw = "farm", self._run_farm(call, pending, point_list)
             else:
-                raw = [
-                    (result, 1)
-                    for result in self._run_default(fn, pending, point_list)
-                ]
-            lane = self._last_lane
+                lane, raw = "inline", self._run_inline(call, pending, point_list)
             for index, (result, attempts) in zip(pending, raw):
                 self.stats.evaluated += 1
                 telemetry = result[-1]
@@ -827,74 +835,25 @@ class SweepExecutor:
                 self.telemetry_run.record_point(outcome)
         return outcomes  # type: ignore[return-value]
 
-    # -- default lanes (historical semantics, bitwise-pinned) ---------------
+    # -- lanes ---------------------------------------------------------------
 
-    def _run_default(
-        self, fn: Callable[[Any], Any], pending: List[int], point_list: List[Any]
-    ) -> List[Tuple[Any, ...]]:
-        """Inline or ``pool.map`` evaluation: no retries, no deadlines.
+    def _needs_processes(self, n_pending: int, n_points: int) -> bool:
+        """Whether a batch runs in the farm rather than inline.
 
-        On any interrupt or error escaping the pool (most importantly
-        ``KeyboardInterrupt``), worker processes are terminated before
-        the exception propagates — a Ctrl-C must never leak children
-        still burning CPU on a sweep the user just abandoned.
+        Under the default policy a parallel executor farms out any batch
+        of two or more points; under a retry policy every attempt at
+        ``jobs > 1`` runs in a child.  A deadline, or a fault plan with
+        ``hang``/``kill`` faults, needs a child it can lose at any
+        ``jobs``.
         """
-        call = _PointCall(fn)
-        todo = [point_list[i] for i in pending]
-        if self.jobs == 1 or len(pending) == 1:
-            self._last_lane = "inline"
-            return [call(point) for point in todo]
-        self._last_lane = "pool"
-        workers = min(self.jobs, len(pending))
-        chunk = self.chunksize or max(1, len(pending) // (workers * 4))
-        # Fork workers inherit the coordinator's warm stream cache; on
-        # spawn platforms the cache entries ship through the initializer.
-        if multiprocessing.get_start_method() != "fork" and len(stream_cache):
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_seed_stream_cache,
-                initargs=(stream_cache.export_entries(),),
-            )
-        else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            raw = list(pool.map(call, todo, chunksize=chunk))
-        except BaseException:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                _kill_process(process)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        return raw
+        if self.retry.point_timeout_s is not None or (
+            self.fault_plan is not None
+            and self.fault_plan.needs_processes(n_points)
+        ):
+            return True
+        return self.jobs > 1 and (self.resilient or n_pending > 1)
 
-    # -- resilient lanes (retry / backoff / deadline / fault plan) ----------
-
-    def _run_resilient(
-        self, fn: Callable[[Any], Any], pending: List[int], point_list: List[Any]
-    ) -> List[Tuple[Tuple[Any, ...], int]]:
-        """Evaluate with retries; returns ``(status, attempts)`` per point.
-
-        Chooses between two lanes: an inline attempt loop (cheap, used
-        when nothing needs process isolation) and the process farm
-        (required for ``jobs > 1``, per-point deadlines, and fault
-        plans containing ``hang``/``kill`` faults).
-        """
-        call = _PointCall(fn, fault_plan=self.fault_plan, capture_bugs=True)
-        needs_processes = (
-            self.jobs > 1
-            or self.retry.point_timeout_s is not None
-            or (
-                self.fault_plan is not None
-                and self.fault_plan.needs_processes(len(point_list))
-            )
-        )
-        if needs_processes:
-            self._last_lane = "farm"
-            return self._run_farm(call, pending, point_list)
-        self._last_lane = "inline"
-        return self._run_inline_retries(call, pending, point_list)
-
-    def _run_inline_retries(
+    def _run_inline(
         self, call: _PointCall, pending: List[int], point_list: List[Any]
     ) -> List[Tuple[Tuple[Any, ...], int]]:
         """Serial in-process attempts with deterministic backoff."""
@@ -916,31 +875,34 @@ class SweepExecutor:
     def _run_farm(
         self, call: _PointCall, pending: List[int], point_list: List[Any]
     ) -> List[Tuple[Tuple[Any, ...], int]]:
-        """The fault-tolerant process farm: one child per attempt.
+        """The process farm: long-lived workers, one attempt at a time.
 
-        Unlike the pool lane (which shares long-lived workers and
-        therefore cannot survive one of them dying), the farm runs each
-        attempt in its own child process connected by a pipe.  That
-        buys three properties the pool cannot offer: a worker killed
-        mid-point (OOM, segfault, ``kill`` fault) is detected as an EOF
-        and retried; a point exceeding ``point_timeout_s`` is
-        terminated without poisoning anyone else; and a
-        ``KeyboardInterrupt`` tears every child down before
-        propagating.  Results are deterministic regardless of
-        completion order — they are slotted by point index.
+        At most ``min(jobs, len(pending))`` workers are forked, each
+        connected by a duplex pipe and reused for attempt after attempt;
+        once the batch is done they are told to stop and joined, so
+        ``RUSAGE_CHILDREN`` counts them.  A worker killed mid-point
+        (OOM, segfault, ``kill`` fault) is detected as an EOF, and one
+        whose point exceeds ``point_timeout_s`` is terminated; either
+        way the attempt settles as a transient failure and a replacement
+        is forked only when work is waiting.  A ``KeyboardInterrupt`` or
+        a worker's re-raised bug tears every child down before
+        propagating.  Results are deterministic regardless of completion
+        order — they are slotted by point index.
         """
         policy = self.retry
         workers = min(self.jobs, len(pending))
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
-            seeds = None  # forked attempts inherit the warm stream cache
+            seeds = None  # forked workers inherit the warm stream cache
         else:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context()
             seeds = stream_cache.export_entries() or None
         results: Dict[int, Tuple[Tuple[Any, ...], int]] = {}
         ready = deque((index, 0) for index in pending)
         delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
-        live: Dict[Any, Tuple[Any, int, int, Optional[float]]] = {}
+        alive: Dict[Any, Any] = {}  # conn -> process, every live worker
+        idle: List[Any] = []  # conns of workers awaiting a task
+        busy: Dict[Any, Tuple[int, int, Optional[float]]] = {}
 
         def settle(result: Tuple[Any, ...], index: int, attempt: int) -> None:
             if result[0] in ("ok", "error") or attempt >= policy.max_retries:
@@ -951,6 +913,22 @@ class SweepExecutor:
                 (time.monotonic() + policy.backoff_s(attempt), index, attempt + 1)
             )
 
+        def fork_worker() -> Any:
+            conn, child_conn = ctx.Pipe()
+            process = ctx.Process(
+                target=_farm_worker, args=(child_conn, call, seeds), daemon=True
+            )
+            process.start()
+            child_conn.close()
+            alive[conn] = process
+            return conn
+
+        def reap(conn) -> Any:
+            process = alive.pop(conn)
+            process.join()
+            conn.close()
+            return process
+
         try:
             while len(results) < len(pending):
                 now = time.monotonic()
@@ -959,30 +937,24 @@ class SweepExecutor:
                     delayed[:] = [entry for entry in delayed if entry[0] > now]
                     for _, index, attempt in sorted(due):
                         ready.append((index, attempt))
-                while ready and len(live) < workers:
+                while ready and (idle or len(alive) < workers):
+                    conn = idle.pop() if idle else fork_worker()
                     index, attempt = ready.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_farm_worker,
-                        args=(
-                            child_conn,
-                            call,
-                            point_list[index],
-                            index,
-                            attempt,
-                            seeds,
-                        ),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
+                    try:
+                        conn.send((index, attempt, point_list[index]))
+                    except OSError:
+                        # The worker died while idle: reap it and hand
+                        # the attempt to a replacement.
+                        ready.appendleft((index, attempt))
+                        reap(conn)
+                        continue
                     deadline = (
                         None
                         if policy.point_timeout_s is None
                         else time.monotonic() + policy.point_timeout_s
                     )
-                    live[parent_conn] = (process, index, attempt, deadline)
-                if not live:
+                    busy[conn] = (index, attempt, deadline)
+                if not busy:
                     # Everything outstanding is backing off; sleep to the
                     # earliest retry and loop.
                     pause = min(entry[0] for entry in delayed) - time.monotonic()
@@ -991,7 +963,7 @@ class SweepExecutor:
                     continue
                 wake_times = [
                     deadline
-                    for (_, _, _, deadline) in live.values()
+                    for (_, _, deadline) in busy.values()
                     if deadline is not None
                 ] + [entry[0] for entry in delayed]
                 wait_s = (
@@ -999,16 +971,12 @@ class SweepExecutor:
                     if not wake_times
                     else max(0.0, min(wake_times) - time.monotonic())
                 )
-                done = _connection_wait(list(live), timeout=wait_s)
-                for conn in done:
-                    process, index, attempt, _ = live.pop(conn)
+                for conn in _connection_wait(list(busy), timeout=wait_s):
+                    index, attempt, _ = busy.pop(conn)
                     try:
                         payload = conn.recv()
                     except (EOFError, OSError):
-                        payload = None
-                    conn.close()
-                    process.join()
-                    if payload is None:
+                        process = reap(conn)
                         payload = (
                             "transient",
                             "WorkerCrash",
@@ -1017,15 +985,19 @@ class SweepExecutor:
                             f"attempt {attempt})",
                             None,
                         )
+                    else:
+                        idle.append(conn)
+                        if payload[0] == "bug":
+                            raise payload[1] from _RemoteTraceback(payload[2])
                     settle(payload, index, attempt)
                 now = time.monotonic()
                 for conn in [
                     conn
-                    for conn, (_, _, _, deadline) in live.items()
+                    for conn, (_, _, deadline) in busy.items()
                     if deadline is not None and now >= deadline
                 ]:
-                    process, index, attempt, _ = live.pop(conn)
-                    _kill_process(process)
+                    index, attempt, _ = busy.pop(conn)
+                    _kill_process(alive.pop(conn))
                     conn.close()
                     settle(
                         (
@@ -1040,14 +1012,19 @@ class SweepExecutor:
                         attempt,
                     )
         except BaseException:
-            # Ctrl-C or a coordinator bug: no orphaned children, ever.
-            for conn, (process, _, _, _) in live.items():
+            # Ctrl-C, a worker's bug, or a coordinator bug: no orphaned
+            # children, ever.
+            for conn, process in alive.items():
                 _kill_process(process)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                conn.close()
             raise
+        for conn in idle:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already gone; the join below reaps it
+        for conn in list(alive):
+            reap(conn)
         return [results[index] for index in pending]
 
     def fold_telemetry_into(self, aggregate) -> None:

@@ -6,10 +6,11 @@ resistances between adjacent blocks through the silicon, and a vertical
 path from every block through the heat spreader / heat sink to ambient.
 Steady state is then a sparse linear system ``G T = P + G_amb T_amb``.
 
-We build the same network with :mod:`networkx` for bookkeeping and solve
-it with dense :mod:`numpy` linear algebra (floorplans here have at most a
-few dozen blocks).  The transient solver uses implicit (backward) Euler,
-which is unconditionally stable, so large DVFS-interval steps are safe.
+We build the conductance matrix straight from the floorplan's adjacency
+map and solve it with dense :mod:`numpy` linear algebra (floorplans here
+have at most a few dozen blocks).  The transient solver uses implicit
+(backward) Euler, which is unconditionally stable, so large
+DVFS-interval steps are safe.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -82,25 +82,8 @@ class ThermalRCNetwork:
         self.vertical_scale = vertical_scale
         self._names = floorplan.names
         self._index = {name: i for i, name in enumerate(self._names)}
-        self.graph = self._build_graph()
         self._conductance = self._build_conductance_matrix()
         self._capacitance = self._build_capacitance_vector()
-
-    def _build_graph(self) -> nx.Graph:
-        """Lateral-conductance graph: nodes are blocks, edges adjacency."""
-        g = nx.Graph()
-        mat = self.material
-        for block in self.floorplan.blocks:
-            g.add_node(block.name, area=block.area)
-        for (a, b), edge_length in self.floorplan.adjacency().items():
-            block_a = self.floorplan.block(a)
-            block_b = self.floorplan.block(b)
-            ca, cb = block_a.center(), block_b.center()
-            distance = math.hypot(ca[0] - cb[0], ca[1] - cb[1])
-            cross_section = edge_length * mat.die_thickness
-            conductance = mat.silicon_conductivity * cross_section / distance
-            g.add_edge(a, b, conductance=conductance)
-        return g
 
     def _vertical_conductance(self, name: str) -> float:
         area = self.floorplan.block(name).area
@@ -108,11 +91,18 @@ class ThermalRCNetwork:
         return 1.0 / resistance
 
     def _build_conductance_matrix(self) -> np.ndarray:
+        """Lateral conductances between adjacent blocks plus each
+        block's vertical path to ambient, as a nodal matrix."""
         n = len(self._names)
         g_matrix = np.zeros((n, n))
-        for a, b, data in self.graph.edges(data=True):
+        mat = self.material
+        for (a, b), edge_length in self.floorplan.adjacency().items():
+            ca = self.floorplan.block(a).center()
+            cb = self.floorplan.block(b).center()
+            distance = math.hypot(ca[0] - cb[0], ca[1] - cb[1])
+            cross_section = edge_length * mat.die_thickness
+            g = mat.silicon_conductivity * cross_section / distance
             i, j = self._index[a], self._index[b]
-            g = data["conductance"]
             g_matrix[i, i] += g
             g_matrix[j, j] += g
             g_matrix[i, j] -= g

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep executor and its memoizing cache."""
 
 import json
+import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,8 +173,6 @@ class TestExecutor:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=0)
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(chunksize=0)
 
     def test_serial_results_in_input_order(self):
         outcomes = SweepExecutor().map(square_point, [5, 1, 3])
@@ -208,9 +207,12 @@ class TestExecutor:
         assert executor.stats.evaluated == 6
         assert executor.stats.failures == 3
 
-    def test_non_library_errors_propagate(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_library_errors_propagate(self, jobs):
         with pytest.raises(ValueError):
-            SweepExecutor().map(buggy_point, [1])
+            SweepExecutor(jobs=jobs).map(buggy_point, [1, 2, 3])
+        # The farm tears its workers down before the bug propagates.
+        assert multiprocessing.active_children() == []
 
     def test_map_values_raises_on_failure(self):
         with pytest.raises(InfeasibleOperatingPoint):

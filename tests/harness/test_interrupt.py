@@ -4,9 +4,9 @@ Each test launches a real coordinator process that starts a sweep whose
 points block for a minute, waits until worker processes have announced
 themselves, sends the coordinator a ``SIGINT``, and then asserts that
 every worker pid is gone — i.e. the executor tore its children down
-before letting ``KeyboardInterrupt`` propagate.  Both process lanes are
-covered: the historical ``ProcessPoolExecutor`` lane and the
-fault-tolerant farm.
+before letting ``KeyboardInterrupt`` propagate.  The process farm is
+covered under both policies: the default one and a retry policy with a
+deadline.
 """
 
 import os
@@ -36,7 +36,7 @@ def slow(point):
 
 from repro.harness.executor import RetryPolicy, SweepExecutor
 
-if lane == "pool":
+if lane == "default":
     executor = SweepExecutor(jobs=2)
 else:
     executor = SweepExecutor(
@@ -69,7 +69,7 @@ def _alive(pid):
     return True
 
 
-@pytest.mark.parametrize("lane", ["pool", "farm"])
+@pytest.mark.parametrize("lane", ["default", "farm"])
 def test_sigint_kills_all_workers(tmp_path, lane):
     env = dict(os.environ, PYTHONPATH=SRC)
     process = subprocess.Popen(

@@ -216,6 +216,8 @@ class TestProcessFarm:
         assert [o.value for o in outcomes] == [0, 2, 4, 6]
         assert outcomes[1].attempts == 2
         assert executor.stats.retries == 1
+        # Two long-lived workers plus one replacement for the killed one.
+        assert len({o.telemetry.pid for o in outcomes}) <= 3
 
     def test_permanent_kill_is_quarantined_with_crash_failure(self):
         plan = plan_with((0, FaultSpec(kind="kill", failing_attempts=ALWAYS)))
@@ -261,6 +263,8 @@ class TestProcessFarm:
         outcomes = executor.map(double_point, list(range(9)))
         assert [o.index for o in outcomes] == list(range(9))
         assert [o.value for o in outcomes] == [2 * p for p in range(9)]
+        # Workers are reused across points, not forked per attempt.
+        assert len({o.telemetry.pid for o in outcomes}) <= 3
 
     def test_faulted_parallel_matches_clean_serial(self):
         # The headline equivalence: a recovering chaos run converges to
