@@ -134,10 +134,15 @@ class ExperimentContext:
         The executor calls this in the coordinator before dispatching a
         sweep, so forked workers inherit (and spawned workers receive at
         start-up) already-compiled streams instead of recompiling per
-        process.
+        process.  A compile here is charged to :attr:`kernel_log` (its
+        seconds and any eviction), since the runs that follow see only
+        stream-cache hits.
         Returns the :class:`repro.sim.ops.CompileOutcome`.
         """
-        return compile_workload(self.scaled_model(model), n_threads)
+        outcome = compile_workload(self.scaled_model(model), n_threads)
+        self.kernel_log.compile_s += outcome.seconds
+        self.kernel_log.compile_cache_evictions += 1 if outcome.evicted else 0
+        return outcome
 
     def operating_point(
         self,

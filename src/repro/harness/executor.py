@@ -529,10 +529,13 @@ class _PointCall:
 
     def __call__(self, point: Any, index: Optional[int] = None, attempt: int = 0):
         begin_point_capture()
-        # Counter readings are drained from this mark, not from zero: a
-        # forked worker inherits whatever the coordinator had buffered
-        # (context calibration runs, say), and those inherited readings
-        # must not ride home duplicated with every worker's first point.
+        # Spans and counter readings are drained from these marks, not
+        # from zero: a forked worker inherits whatever the coordinator
+        # had buffered (context calibration, precompiles), and those
+        # inherited records must not ride home duplicated with every
+        # worker's first point.
+        tracer = get_tracer()
+        span_mark = tracer.mark()
         sampler = get_sampler()
         sample_mark = sampler.mark()
         start_us = now_us()
@@ -557,7 +560,7 @@ class _PointCall:
             start_us=start_us,
             wall_s=wall_s,
             kernels=end_point_capture(),
-            spans=tuple(get_tracer().drain_records()),
+            spans=tuple(tracer.drain_since(span_mark)),
             samples=tuple(sampler.drain_since(sample_mark)),
         )
         return status + (telemetry,)

@@ -49,6 +49,9 @@ class KernelAggregate:
     slow_path_ops: int = 0
     barrier_ops: int = 0
     sim_wall_s: float = 0.0
+    #: Compile seconds: the runs' own compiles plus the coordinator's
+    #: precompiles (:meth:`ExperimentContext.precompile
+    #: <repro.harness.context.ExperimentContext.precompile>`).
     compile_s: float = 0.0
     compile_cache_hits: int = 0
     #: Runs whose compile bumped an older program out of the bounded

@@ -55,39 +55,53 @@ OP_BARRIER = 3
 OP_CRITICAL = 4
 
 
+def _fused(segments: List[int]) -> tuple:
+    """The compute op a run of ``segments`` compiles to."""
+    if len(segments) == 1:
+        return (OP_COMPUTE, segments[0])
+    return (OP_COMPUTE, sum(segments), tuple(segments))
+
+
 # repro: hot
 def compile_stream(ops: Iterable[tuple]) -> List[tuple]:
     """Materialize one thread's op stream, fusing adjacent compute bursts.
 
     Runs of consecutive ``OP_COMPUTE`` ops become one fused 3-tuple
-    ``(OP_COMPUTE, total, segments)``; singletons stay plain 2-tuples.
-    Already-fused input ops are re-fused (compilation is idempotent).
-    All other ops pass through unchanged.
+    ``(OP_COMPUTE, total, segments)``.  A lone plain compute op is kept
+    as the same object, so a model that yields one shared compute tuple
+    per thread compiles without allocating per op.  Already-fused input
+    ops are re-fused (compilation is idempotent).  All other ops pass
+    through unchanged.
     """
     compiled: List[tuple] = []
     append = compiled.append
+    # A run's plain first op, held until the run's length is known.
+    lone = None
+    # Segments of a run that already needs fusing.
     segments: List[int] = []
-
-    # repro: allow[HOT-ALLOC] one closure per stream compile, not per op
-    def flush() -> None:
-        if not segments:
-            return
-        if len(segments) == 1:
-            append((OP_COMPUTE, segments[0]))
-        else:
-            append((OP_COMPUTE, sum(segments), tuple(segments)))
-        segments.clear()
-
     for op in ops:
-        if op[0] == OP_COMPUTE:
+        if op[0] != OP_COMPUTE:
+            if lone is not None:
+                append(lone)
+                lone = None
+            elif segments:
+                append(_fused(segments))
+                segments.clear()
+            append(op)
+        elif lone is None and not segments and len(op) == 2:
+            lone = op
+        else:
+            if lone is not None:
+                segments.append(lone[1])
+                lone = None
             if len(op) >= 3:
                 segments.extend(op[2])
             else:
                 segments.append(op[1])
-        else:
-            flush()
-            append(op)
-    flush()
+    if lone is not None:
+        append(lone)
+    elif segments:
+        append(_fused(segments))
     return compiled
 
 

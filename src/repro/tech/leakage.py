@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import ConfigurationError
 from repro.tech.technology import TechnologyNode
@@ -267,6 +266,10 @@ def fit_leakage_curve(
             h_fit = prefactor * math.exp(float(row @ coeffs))
             residuals[i] = (h_fit - h) / h
         return residuals
+
+    # Local import: only the analytical fit needs scipy, so campaigns that
+    # never fit a leakage curve (fig3, fig4, optimize) do not load it.
+    from scipy.optimize import least_squares
 
     solution = least_squares(relative_residuals, seed, method="lm")
     errors = np.abs(relative_residuals(solution.x))

@@ -217,9 +217,24 @@ class Tracer:
         roots, self.roots = self.roots, []
         return roots
 
+    def mark(self) -> int:
+        """Current root count, for a later :meth:`drain_since`."""
+        return len(self.roots)
+
+    def drain_since(self, mark: int) -> List[SpanRecord]:
+        """Top-level spans completed after ``mark``; removes exactly those.
+
+        Earlier roots (spans a forked worker inherited from the
+        coordinator) stay for the owner of that window to drain.
+        """
+        mark = max(0, min(mark, len(self.roots)))
+        records = [span.record() for span in self.roots[mark:]]
+        del self.roots[mark:]
+        return records
+
     def drain_records(self) -> List[SpanRecord]:
         """Completed top-level spans as records; clears them."""
-        return [span.record() for span in self.take_roots()]
+        return self.drain_since(0)
 
     def reset(self) -> None:
         """Drop all collected spans and counters (keeps enabled state)."""

@@ -55,6 +55,17 @@ _LOCK_BASE = 0x7000_0000_0000
 _STRIDE = 8
 
 
+def _below(rng: random.Random):
+    """``rng``'s bound uniform draw in ``[0, n)``, for ``n >= 1``.
+
+    On Python 3.9-3.12 ``randrange(n)`` and ``randrange(0, n)`` compute
+    exactly ``rng._randbelow(n)`` once their argument checks pass, so
+    calling it directly yields the same draws from the same state minus
+    the per-call validation (the generator draws one per memory op).
+    """
+    return rng._randbelow
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Behavioural signature of one application.
@@ -229,15 +240,19 @@ class WorkloadModel:
             raise WorkloadError(f"thread id {thread_id} out of range")
 
         rng = random.Random(f"{spec.seed}/{thread_id}/{n_threads}")
+        below = _below(rng)
         private_slice = max(_STRIDE * 64, spec.total_private_bytes // n_threads)
         private_base = _PRIVATE_BASE + thread_id * (private_slice + (1 << 30))
         hot_base = private_base + private_slice + (1 << 20)
         private_cursor = private_base
-        shared_cursor = _SHARED_BASE + rng.randrange(0, spec.shared_bytes)
+        shared_cursor = _SHARED_BASE + below(spec.shared_bytes)
         barrier_counter = 0
         phase_instructions = spec.total_instructions / spec.n_phases
         # Compute-burst length between memory operations.
         burst = max(1, round((1.0 - spec.mem_ratio) / spec.mem_ratio))
+        # Every burst of this thread is the same op: one shared tuple,
+        # which compile_stream keeps as-is (no per-op allocation).
+        compute_op = (OP_COMPUTE, burst)
 
         def next_address() -> int:
             nonlocal private_cursor, shared_cursor
@@ -252,13 +267,13 @@ class WorkloadModel:
                     )
                 return shared_cursor
             if rng.random() < spec.hot_fraction:
-                return hot_base + rng.randrange(0, spec.hot_bytes)
+                return hot_base + below(spec.hot_bytes)
             if rng.random() < spec.locality:
                 private_cursor = private_base + (
                     (private_cursor + _STRIDE - private_base) % private_slice
                 )
             else:
-                private_cursor = private_base + rng.randrange(0, private_slice)
+                private_cursor = private_base + below(private_slice)
             return private_cursor
 
         def emit_work(n_instructions: float, allow_critical: bool):
@@ -268,9 +283,9 @@ class WorkloadModel:
             if allow_critical and spec.critical_sections_per_phase:
                 critical_every = max(1, n_mem // spec.critical_sections_per_phase)
             for i in range(n_mem):
-                yield (OP_COMPUTE, burst)
+                yield compute_op
                 if critical_every and (i + 1) % critical_every == 0:
-                    lock_id = rng.randrange(spec.n_locks)
+                    lock_id = below(spec.n_locks)
                     yield (
                         OP_CRITICAL,
                         lock_id,
@@ -330,8 +345,8 @@ class WorkloadModel:
             else:
                 neighbour = (thread_id + rng.choice((-1, 1))) % n_threads
                 base = neighbour * block
-            return (base + rng.randrange(0, max(block, _STRIDE))) % spec.shared_bytes
-        return rng.randrange(0, spec.shared_bytes)
+            return (base + _below(rng)(max(block, _STRIDE))) % spec.shared_bytes
+        return _below(rng)(spec.shared_bytes)
 
     def _imbalance_factor(self, phase: int, thread_id: int, n_threads: int) -> float:
         """Deterministic per-(phase, thread) work multiplier, mean ~1."""

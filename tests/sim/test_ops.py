@@ -51,6 +51,31 @@ class TestCompileStream:
     def test_empty_stream(self):
         assert compile_stream([]) == []
 
+    def test_lone_compute_op_is_kept_as_the_same_object(self):
+        burst = (OP_COMPUTE, 5)
+        compiled = compile_stream([burst, (OP_LOAD, 0x40), burst])
+        assert compiled[0] is burst
+        assert compiled[2] is burst
+
+    def test_lone_fused_op_is_refused_by_value(self):
+        assert compile_stream([(OP_COMPUTE, 5, (5,))]) == [(OP_COMPUTE, 5)]
+        assert compile_stream([(OP_COMPUTE, 12, (5, 7)), (OP_LOAD, 0x40)]) == [
+            (OP_COMPUTE, 12, (5, 7)),
+            (OP_LOAD, 0x40),
+        ]
+
+    def test_shared_op_runs_still_fuse(self):
+        burst = (OP_COMPUTE, 3)
+        ops = [burst, burst, (OP_LOAD, 0x40), burst, (OP_COMPUTE, 12, (5, 7)),
+               (OP_BARRIER, 0), burst, burst, burst]
+        assert compile_stream(ops) == [
+            (OP_COMPUTE, 6, (3, 3)),
+            (OP_LOAD, 0x40),
+            (OP_COMPUTE, 15, (3, 5, 7)),
+            (OP_BARRIER, 0),
+            (OP_COMPUTE, 9, (3, 3, 3)),
+        ]
+
 
 class TestStreamOpCount:
     def test_counts_source_ops(self):
@@ -173,3 +198,15 @@ class TestCompileWorkload:
         out = compile_workload(model, 1, cache=None)
         assert not out.from_cache
         assert model.generated == 2
+
+    def test_workload_threads_share_one_plain_compute_op(self):
+        from repro.workloads.base import WorkloadModel
+        from repro.workloads.splash2 import workload_by_name
+
+        model = WorkloadModel(workload_by_name("Barnes").spec.scaled(0.05))
+        program = compile_workload(model, 2, cache=None).program
+        for stream in program.streams:
+            computes = [op for op in stream if op[0] == OP_COMPUTE]
+            assert computes
+            assert all(len(op) == 2 for op in computes)
+            assert len({id(op) for op in computes}) == 1

@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+@pytest.fixture
+def restore_telemetry_state():
+    """--telemetry-dir enables tracing/sampling; undo it afterwards."""
+    from repro.telemetry.timeseries import get_sampler, set_sampler
+    from repro.telemetry.trace import get_tracer, set_tracer
+
+    sampler, tracer = get_sampler(), get_tracer()
+    yield
+    set_sampler(sampler)
+    set_tracer(tracer)
 
 
 class TestParser:
@@ -116,6 +135,29 @@ class TestCommands:
         assert "ops/s" in out
         assert "fast-path" in out
 
+    def test_fig3_profile_counts_coordinator_precompile(self, capsys):
+        from repro.sim.ops import stream_cache
+
+        # Precompile happens before any run sees the program, so a cold
+        # stream cache must still show up as compile time.
+        stream_cache.clear()
+        assert main(
+            ["fig3", "--apps", "Radix", "--scale", "0.05", "--profile"]
+        ) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"compile (\d+\.\d+)s", out)
+        assert match is not None
+        assert float(match.group(1)) > 0.0
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, repro.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
+
     def test_fig4_tiny(self, capsys):
         assert main(["fig4", "--apps", "Radix", "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
@@ -164,18 +206,8 @@ class TestCommands:
         assert args.scale == 0.3
 
 
+@pytest.mark.usefixtures("restore_telemetry_state")
 class TestTraceTimelineCommand:
-    @pytest.fixture(autouse=True)
-    def restore_telemetry_state(self):
-        """--telemetry-dir enables tracing/sampling; undo it afterwards."""
-        from repro.telemetry.timeseries import get_sampler, set_sampler
-        from repro.telemetry.trace import get_tracer, set_tracer
-
-        sampler, tracer = get_sampler(), get_tracer()
-        yield
-        set_sampler(sampler)
-        set_tracer(tracer)
-
     def test_timeline_renders_sparklines_and_alerts(self, capsys, tmp_path):
         assert (
             main(
@@ -244,3 +276,28 @@ class TestTraceTimelineCommand:
         TelemetryRun(tmp_path, command="fig3").finalize()
         assert main(["trace", "timeline", "--telemetry-dir", str(tmp_path)]) == 0
         assert "no timeline samples" in capsys.readouterr().out
+
+
+@pytest.mark.usefixtures("restore_telemetry_state")
+class TestTelemetryRun:
+    def test_parallel_run_records_coordinator_spans_once(self, capsys, tmp_path):
+        assert main(
+            [
+                "fig3", "--apps", "Radix", "--scale", "0.05", "--jobs", "2",
+                "--telemetry-dir", str(tmp_path),
+            ]
+        ) == 0
+        capsys.readouterr()
+        (spans_file,) = tmp_path.glob("*/spans.jsonl")
+        entries = [json.loads(line) for line in spans_file.read_text().splitlines()]
+        spans = [
+            (e["pid"], json.dumps(e["span"], sort_keys=True))
+            for e in entries
+            if e["span"]["name"] in ("thermal.solve", "workload.compile")
+        ]
+        copies = Counter(span for _, span in spans)
+        # Calibration and precompile run in the coordinator before the
+        # workers fork; no worker may ship those spans home again.
+        coordinator = [span for pid, span in spans if pid == os.getpid()]
+        assert coordinator
+        assert all(copies[span] == 1 for span in coordinator)
